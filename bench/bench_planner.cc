@@ -15,7 +15,10 @@
 //   * planner total + chosen-engine distribution + estimate accuracy,
 //     globally and per engine family (CostFeedback::Family);
 //   * the same workload re-run after the true-cost feedback loop has
-//     observed one training pass — the post-feedback estimate accuracy.
+//     observed one training pass — the post-feedback estimate accuracy;
+//   * next to each engine's pages, its measured wall time per query
+//     (median µs per class and over the workload; a fallback query is
+//     charged the scan's time, as it is the scan's pages).
 // The acceptance bar (ISSUE 4): planner within 15% of per_query_best and
 // cheaper than the best single static engine. ISSUE 10 adds: the
 // post-feedback estimate geomean ratio must land in [0.85, 1.15].
@@ -31,6 +34,7 @@
 //   bench_planner [--rows=N] [--per_class=N] [--seed=N] [--json=PATH]
 //                 [--smoke]
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -41,6 +45,7 @@
 
 #include "cache/feedback.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "engine/query_builder.h"
 #include "gen/synthetic.h"
 #include "planner/rank_cube_db.h"
@@ -217,6 +222,25 @@ std::vector<ClassSpec> MakeWorkload(const Table& table, int per_class,
   return classes;
 }
 
+double Median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// {"engine": value, ...} with `fmt` for the values.
+std::string JsonMap(const std::map<std::string, double>& m, const char* fmt) {
+  std::string out = "{";
+  char buf[64];
+  for (const auto& [key, value] : m) {
+    if (out.size() > 1) out += ", ";
+    std::snprintf(buf, sizeof(buf), fmt, value);
+    out += "\"" + key + "\": " + buf;
+  }
+  return out + "}";
+}
+
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -256,18 +280,23 @@ int Main(int argc, char** argv) {
   size_t total_queries = 0;
   for (const auto& c : classes) total_queries += c.queries.size();
   std::map<std::string, std::vector<double>> static_pages;
+  std::map<std::string, std::vector<double>> static_us;  ///< wall µs
   std::vector<double> planner_pages;
+  std::vector<double> planner_us;
   std::vector<double> planner_estimates;
   std::vector<std::string> planner_choice;
   std::map<std::string, size_t> fallbacks;
 
   // Scan pages first: the fallback charge for engines that cannot answer.
   std::vector<double> scan_pages;
+  std::vector<double> scan_us;
   for (const auto& c : classes) {
     for (const auto& q : c.queries) {
       QueryOptions force;
       force.force_engine = "table_scan";
+      Stopwatch watch;
       auto r = db.Query(q, force);
+      scan_us.push_back(watch.ElapsedMs() * 1e3);
       if (!r.ok()) {
         std::fprintf(stderr, "table_scan failed: %s\n",
                      r.status().ToString().c_str());
@@ -279,16 +308,21 @@ int Main(int argc, char** argv) {
 
   for (const std::string& engine : StaticEngines()) {
     auto& pages = static_pages[engine];
+    auto& us = static_us[engine];
     size_t i = 0;
     for (const auto& c : classes) {
       for (const auto& q : c.queries) {
         QueryOptions force;
         force.force_engine = engine;
+        Stopwatch watch;
         auto r = db.Query(q, force);
+        const double elapsed_us = watch.ElapsedMs() * 1e3;
         if (r.ok()) {
           pages.push_back(static_cast<double>(r.value().stats.pages_read));
+          us.push_back(elapsed_us);
         } else {
           pages.push_back(scan_pages[i]);  // deployment falls back to a scan
+          us.push_back(scan_us[i]);
           ++fallbacks[engine];
         }
         ++i;
@@ -298,7 +332,9 @@ int Main(int argc, char** argv) {
 
   for (const auto& c : classes) {
     for (const auto& q : c.queries) {
+      Stopwatch watch;
       auto r = db.Query(q);
+      planner_us.push_back(watch.ElapsedMs() * 1e3);
       if (!r.ok()) {
         std::fprintf(stderr, "planner failed on %s: %s\n",
                      q.ToString().c_str(), r.status().ToString().c_str());
@@ -349,12 +385,20 @@ int Main(int argc, char** argv) {
     double p = 0, best_c = 0, worst_c = 0;
     std::map<std::string, int> routes;
     std::map<std::string, double> engine_c;
+    std::map<std::string, std::vector<double>> engine_us_c;
+    std::vector<double> planner_us_c;
     for (size_t j = 0; j < c.queries.size(); ++j, ++idx) {
       p += planner_pages[idx];
+      planner_us_c.push_back(planner_us[idx]);
       ++routes[planner_choice[idx]];
       for (const auto& [engine, pages] : static_pages) {
         engine_c[engine] += pages[idx];
+        engine_us_c[engine].push_back(static_us[engine][idx]);
       }
+    }
+    std::map<std::string, double> engine_us_p50;
+    for (const auto& [engine, us] : engine_us_c) {
+      engine_us_p50[engine] = Median(us);
     }
     best_c = 1e300;
     for (const auto& [engine, t] : engine_c) {
@@ -372,14 +416,22 @@ int Main(int argc, char** argv) {
     for (const auto& [engine, t] : engine_c) {
       std::printf(" %s:%.0f", engine.c_str(), t);
     }
+    std::printf("\n%-16s  us/query p50: planner:%.1f", "",
+                Median(planner_us_c));
+    for (const auto& [engine, us] : engine_us_p50) {
+      std::printf(" %s:%.1f", engine.c_str(), us);
+    }
     std::printf("\n");
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "    {\"class\": \"%s\", \"planner_pages\": %.0f, "
                   "\"best_static_pages\": %.0f, \"worst_static_pages\": "
-                  "%.0f}",
-                  c.name.c_str(), p, best_c, worst_c);
-    class_lines.push_back(buf);
+                  "%.0f, \"planner_us_p50\": %.1f, ",
+                  c.name.c_str(), p, best_c, worst_c, Median(planner_us_c));
+    class_lines.push_back(buf + std::string("\"static_pages\": ") +
+                          JsonMap(engine_c, "%.0f") +
+                          ", \"static_us_p50\": " +
+                          JsonMap(engine_us_p50, "%.1f") + "}");
   }
 
   // Estimate accuracy: geometric mean of max(est,1)/max(measured,1),
@@ -518,7 +570,11 @@ int Main(int argc, char** argv) {
                  total(pages));
     first = false;
   }
-  std::fprintf(out, "},\n  \"fallback_queries\": {");
+  std::map<std::string, double> us_p50;
+  for (const auto& [engine, us] : static_us) us_p50[engine] = Median(us);
+  std::fprintf(out, "},\n  \"static_us_p50\": %s,\n",
+               JsonMap(us_p50, "%.1f").c_str());
+  std::fprintf(out, "  \"fallback_queries\": {");
   first = true;
   for (const auto& [engine, n] : fallbacks) {
     std::fprintf(out, "%s\"%s\": %zu", first ? "" : ", ", engine.c_str(), n);

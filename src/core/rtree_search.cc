@@ -8,13 +8,14 @@ namespace rankcube {
 
 namespace {
 
-/// Heap entry: an R-tree node or a fully-scored data object.
+/// Heap entry: an R-tree node or a fully-scored data object, addressed by
+/// its parent's SID and its position there (no path is stored).
 struct HeapEntry {
   double score;  ///< lower bound (node) or exact score (tuple)
+  uint32_t id;   ///< node id, or tid for tuple entries
   bool is_tuple;
-  uint32_t node_id;  ///< node entries
-  Tid tid;           ///< tuple entries
-  std::vector<int> path;
+  uint32_t pos;
+  Sid parent;
 
   bool operator>(const HeapEntry& o) const { return score > o.score; }
 };
@@ -32,31 +33,32 @@ std::vector<ScoredTuple> RTreeBranchAndBoundTopK(const Table& table,
   const RankingFunction& f = *query.function;
   TopKHeap topk(query.k);
 
+  const int M = rtree.max_entries();
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
-  heap.push({f.LowerBound(rtree.node(rtree.root()).mbr), false, rtree.root(),
-             0,
-             {}});
+  heap.push({f.LowerBound(rtree.node(rtree.root()).mbr), rtree.root(), false,
+             0, 0});
 
   std::vector<Tid> leaf_tids;
   std::vector<double> leaf_scores;
   kernels::BlockEvaluator eval(table, f);
   while (!heap.empty()) {
-    HeapEntry e = heap.top();
+    const HeapEntry e = heap.top();
     // Stop: f(topk.root) <= f(c_heap.root) (§4.3.2).
     if (topk.Full() && topk.KthScore() <= e.score) break;
     heap.pop();
 
     if (e.is_tuple) {
-      if (pruner->Qualifies(e.tid, e.path, io, stats)) {
-        topk.Offer(e.tid, e.score);
+      if (pruner->Qualifies(e.id, {e.parent, e.pos}, io, stats)) {
+        topk.Offer(e.id, e.score);
       }
       continue;
     }
     // Boolean pruning on the node before expansion (line 5 of Algorithm 3).
-    if (!pruner->MayContain(e.path, io, stats)) continue;
+    if (!pruner->MayContain({e.parent, e.pos}, io, stats)) continue;
 
-    const RTreeNode& node = rtree.node(e.node_id);
-    rtree.ChargeNodeAccess(io, e.node_id);
+    const Sid sid = e.pos == 0 ? 0 : ChildSid(e.parent, e.pos, M);
+    const RTreeNode& node = rtree.node(e.id);
+    rtree.ChargeNodeAccess(io, e.id);
     if (node.is_leaf) {
       // The whole leaf is scored column-direct in one batch call; the
       // exact scores then enter the candidate heap (tuples stay lazy:
@@ -64,23 +66,14 @@ std::vector<ScoredTuple> RTreeBranchAndBoundTopK(const Table& table,
       // verification).
       ScoreLeafEntries(eval, node, &leaf_tids, &leaf_scores, stats);
       for (size_t i = 0; i < node.entries.size(); ++i) {
-        HeapEntry t;
-        t.score = leaf_scores[i];
-        t.is_tuple = true;
-        t.tid = leaf_tids[i];
-        t.path = e.path;
-        t.path.push_back(static_cast<int>(i) + 1);
-        heap.push(std::move(t));
+        heap.push({leaf_scores[i], leaf_tids[i], true,
+                   static_cast<uint32_t>(i + 1), sid});
       }
     } else {
       for (size_t i = 0; i < node.children.size(); ++i) {
-        HeapEntry c;
-        c.score = f.LowerBound(rtree.node(node.children[i]).mbr);
-        c.is_tuple = false;
-        c.node_id = node.children[i];
-        c.path = e.path;
-        c.path.push_back(static_cast<int>(i) + 1);
-        heap.push(std::move(c));
+        heap.push({f.LowerBound(rtree.node(node.children[i]).mbr),
+                   node.children[i], false, static_cast<uint32_t>(i + 1),
+                   sid});
       }
     }
     stats->MergeMax(heap.size());

@@ -10,35 +10,52 @@
 
 #include <vector>
 
+#include "core/signature.h"
 #include "core/topk_query.h"
 #include "func/kernels/kernels.h"
 #include "index/rtree.h"
 
 namespace rankcube {
 
-/// Boolean-pruning hook for Algorithm 3. Paths are 1-based entry positions;
-/// tuple paths include the leaf entry position.
+/// An R-tree entry as the best-first searches address it (§4.2.1): the SID
+/// of the node holding it and the entry's 1-based position there. A node
+/// entry's own SID is ChildSid(parent, pos, M); the root is {0, 0}. A tuple
+/// entry is a position in its leaf and has no node of its own.
+struct EntryRef {
+  Sid parent = 0;
+  uint32_t pos = 0;
+  /// The pruner has not tested this entry's ancestors: BBS re-seeded from
+  /// a journal (§7.2.4). False for every entry a search reached by
+  /// expanding its parent.
+  bool reseeded = false;
+};
+
+/// Boolean-pruning hook for Algorithm 3, the ranked stream and BBS.
+///
+/// Contract: a search tests an entry only after its parent passed
+/// MayContain on the same pruner (best-first order guarantees it), so a
+/// pruner may assume every ancestor already passed and charge or test only
+/// the entry itself. The exception is an entry flagged `reseeded`, whose
+/// ancestors this pruner never saw; it must be tested and charged as if
+/// the whole root-to-entry chain were new.
 class BooleanPruner {
  public:
   virtual ~BooleanPruner() = default;
 
-  /// May the subtree rooted at `path` contain a qualifying tuple?
+  /// May the subtree of node `node` contain a qualifying tuple?
   /// (false => prune; must never produce false negatives).
-  virtual bool MayContain(const std::vector<int>& node_path, IoSession* io,
-                          ExecStats* stats) = 0;
+  virtual bool MayContain(EntryRef node, IoSession* io, ExecStats* stats) = 0;
 
-  /// Does the tuple at `tuple_path` qualify? Exact.
-  virtual bool Qualifies(Tid tid, const std::vector<int>& tuple_path,
-                         IoSession* io, ExecStats* stats) = 0;
+  /// Does the tuple `tid` at leaf entry `entry` qualify? Exact.
+  virtual bool Qualifies(Tid tid, EntryRef entry, IoSession* io,
+                         ExecStats* stats) = 0;
 };
 
 /// Accept-all pruner (no boolean predicates).
 class NullPruner : public BooleanPruner {
  public:
-  bool MayContain(const std::vector<int>&, IoSession*, ExecStats*) override {
-    return true;
-  }
-  bool Qualifies(Tid, const std::vector<int>&, IoSession*, ExecStats*) override {
+  bool MayContain(EntryRef, IoSession*, ExecStats*) override { return true; }
+  bool Qualifies(Tid, EntryRef, IoSession*, ExecStats*) override {
     return true;
   }
 };

@@ -24,6 +24,12 @@ using Sid = uint64_t;
 /// SID of a node path (1-based positions); the empty path (root) is 0.
 Sid SidOfPath(const std::vector<int>& path, size_t len, int M);
 
+/// SID of the child at 1-based position `pos` of node `parent`. The
+/// inverse is parent = sid / (M + 1), pos = sid % (M + 1).
+inline Sid ChildSid(Sid parent, uint32_t pos, int M) {
+  return parent * static_cast<Sid>(M + 1) + pos;
+}
+
 /// Logical signature tree.
 class Signature {
  public:

@@ -120,10 +120,8 @@ namespace {
 /// Pruner for a provably-empty cell: rejects everything.
 class EmptyCellPruner : public BooleanPruner {
  public:
-  bool MayContain(const std::vector<int>&, IoSession*, ExecStats*) override {
-    return false;
-  }
-  bool Qualifies(Tid, const std::vector<int>&, IoSession*, ExecStats*) override {
+  bool MayContain(EntryRef, IoSession*, ExecStats*) override { return false; }
+  bool Qualifies(Tid, EntryRef, IoSession*, ExecStats*) override {
     return false;
   }
 };
@@ -328,18 +326,15 @@ class LossyBloomPruner : public BooleanPruner {
       : table_(table), preds_(std::move(preds)), blooms_(std::move(blooms)),
         m_(M) {}
 
-  bool MayContain(const std::vector<int>& path, IoSession*, ExecStats*) override {
-    if (path.empty()) return true;
-    Sid sid = SidOfPath(path, path.size(), m_);
-    for (const auto* bloom : blooms_) {
-      if (!bloom->MayContain(sid)) return false;
-    }
-    return true;
+  bool MayContain(EntryRef node, IoSession*, ExecStats*) override {
+    if (node.pos == 0) return true;  // the root
+    return InBlooms(ChildSid(node.parent, node.pos, m_));
   }
 
-  bool Qualifies(Tid tid, const std::vector<int>& path, IoSession* io,
-                 ExecStats* stats) override {
-    if (!MayContain(path, io, stats)) return false;
+  bool Qualifies(Tid tid, EntryRef entry, IoSession* io,
+                 ExecStats*) override {
+    // The blooms hold tuple-level SIDs too (one per set leaf bit).
+    if (!InBlooms(ChildSid(entry.parent, entry.pos, m_))) return false;
     // Bloom false positives make tuple-level bits unreliable; verify.
     table_.ChargeRowFetch(io, tid);
     for (const auto& p : preds_) {
@@ -349,6 +344,13 @@ class LossyBloomPruner : public BooleanPruner {
   }
 
  private:
+  bool InBlooms(Sid sid) const {
+    for (const auto* bloom : blooms_) {
+      if (!bloom->MayContain(sid)) return false;
+    }
+    return true;
+  }
+
   const Table& table_;
   std::vector<Predicate> preds_;
   std::vector<const BloomFilter*> blooms_;
@@ -418,41 +420,87 @@ size_t SignatureCube::BaselineBytes() const {
 
 // ------------------------------------------------------ SignaturePruner --
 
-void SignaturePruner::EnsureLoaded(size_t src, const std::vector<int>& path,
-                                   size_t len, IoSession* io,
-                                   ExecStats* stats) {
+SignaturePruner::SignaturePruner(std::vector<Source> sources)
+    : sources_(std::move(sources)) {
+  size_t slots = 0;
+  for (const Source& src : sources_) {
+    loaded_base_.push_back(slots);
+    if (src.stored != nullptr) slots += src.stored->partials().size();
+  }
+  loaded_.assign(slots, false);
+}
+
+void SignaturePruner::Load(size_t src, Sid sid, IoSession* io,
+                           ExecStats* stats) {
   const StoredSignature* stored = sources_[src].stored;
   if (stored == nullptr) return;
+  const size_t partial = stored->PartialOf(sid);
+  if (partial == SIZE_MAX) return;
+  auto slot = loaded_.begin() + (loaded_base_[src] + partial);
+  if (*slot) return;
+  *slot = true;
   Stopwatch watch;
-  const int M = sources_[src].sig->M();
-  for (size_t l = 0; l <= len; ++l) {
-    Sid sid = SidOfPath(path, l, M);
-    size_t partial = stored->PartialOf(sid);
-    if (partial == SIZE_MAX) continue;
-    auto key = std::make_pair(src, partial);
-    if (loaded_.insert(key).second) {
-      io->Access(IoCategory::kSignature,
-                    (static_cast<uint64_t>(src) << 48) ^ partial);
-      ++stats->signature_pages;
-    }
-  }
+  io->Access(IoCategory::kSignature,
+             (static_cast<uint64_t>(src) << 48) ^ partial);
+  ++stats->signature_pages;
   stats->signature_ms += watch.ElapsedMs();
 }
 
-bool SignaturePruner::MayContain(const std::vector<int>& node_path,
-                                 IoSession* io, ExecStats* stats) {
+void SignaturePruner::LoadChain(size_t src, Sid sid, IoSession* io,
+                                ExecStats* stats) {
+  // A SID below 2^64 with fanout >= 3 is at most 41 levels deep.
+  const Sid fanout = static_cast<Sid>(sources_[src].sig->M() + 1);
+  Sid chain[64];
+  size_t n = 0;
+  for (Sid x = sid;; x /= fanout) {
+    chain[n++] = x;
+    if (x == 0) break;
+  }
+  while (n > 0) Load(src, chain[--n], io, stats);
+}
+
+bool SignaturePruner::Test(size_t src, EntryRef entry) const {
+  const Signature& sig = *sources_[src].sig;
+  const Sid fanout = static_cast<Sid>(sig.M() + 1);
+  Sid parent = entry.parent;
+  size_t bit = entry.pos - 1;
+  for (;;) {
+    const BitVector* node = sig.Node(parent);
+    if (node == nullptr || bit >= node->size() || !node->Get(bit)) {
+      return false;
+    }
+    if (!entry.reseeded || parent == 0) return true;
+    bit = parent % fanout - 1;
+    parent /= fanout;
+  }
+}
+
+bool SignaturePruner::MayContain(EntryRef node, IoSession* io,
+                                 ExecStats* stats) {
   for (size_t s = 0; s < sources_.size(); ++s) {
-    EnsureLoaded(s, node_path, node_path.size(), io, stats);
-    if (!sources_[s].sig->TestPath(node_path)) return false;
+    const int M = sources_[s].sig->M();
+    const Sid sid = node.pos == 0 ? 0 : ChildSid(node.parent, node.pos, M);
+    if (node.reseeded) {
+      LoadChain(s, sid, io, stats);
+    } else {
+      Load(s, sid, io, stats);
+    }
+    if (node.pos != 0 && !Test(s, node)) return false;
   }
   return true;
 }
 
-bool SignaturePruner::Qualifies(Tid tid, const std::vector<int>& tuple_path,
-                                IoSession* io, ExecStats* stats) {
+bool SignaturePruner::Qualifies(Tid tid, EntryRef entry, IoSession* io,
+                                ExecStats* stats) {
   (void)tid;
   // Leaf-entry bits are per-tuple, so the AND over sources is exact here.
-  return MayContain(tuple_path, io, stats);
+  // A tuple-level SID is never a node, so only a re-seeded tuple (whose
+  // leaf chain this pruner never charged) loads anything.
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    if (entry.reseeded) LoadChain(s, entry.parent, io, stats);
+    if (!Test(s, entry)) return false;
+  }
+  return true;
 }
 
 }  // namespace rankcube

@@ -7,7 +7,6 @@
 #define RANKCUBE_CORE_SIGNATURE_CUBE_H_
 
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -123,7 +122,11 @@ class SignatureCube {
 };
 
 /// Boolean pruner backed by one or more cell signatures (assembled online
-/// for multi-predicate queries, §4.3.3). Charges partial-signature loads.
+/// for multi-predicate queries, §4.3.3). Charges each partial-signature
+/// load once per query. Under the BooleanPruner contract an entry reached
+/// by expansion needs only its own bit in its parent node and its own
+/// partial: the parent already passed every source. A re-seeded entry is
+/// tested and charged along its whole root-to-entry chain.
 class SignaturePruner : public BooleanPruner {
  public:
   /// Each element: (signature, stored form). All must pass for a path.
@@ -132,20 +135,24 @@ class SignaturePruner : public BooleanPruner {
     const StoredSignature* stored;
   };
 
-  explicit SignaturePruner(std::vector<Source> sources)
-      : sources_(std::move(sources)) {}
+  explicit SignaturePruner(std::vector<Source> sources);
 
-  bool MayContain(const std::vector<int>& node_path, IoSession* io,
-                  ExecStats* stats) override;
-  bool Qualifies(Tid tid, const std::vector<int>& tuple_path, IoSession* io,
+  bool MayContain(EntryRef node, IoSession* io, ExecStats* stats) override;
+  bool Qualifies(Tid tid, EntryRef entry, IoSession* io,
                  ExecStats* stats) override;
 
  private:
-  void EnsureLoaded(size_t src, const std::vector<int>& path, size_t len,
-                    IoSession* io, ExecStats* stats);
+  /// Charges the partial of source `src` that holds node `sid`, once.
+  void Load(size_t src, Sid sid, IoSession* io, ExecStats* stats);
+  /// Load() for `sid` and each of its ancestors, root first.
+  void LoadChain(size_t src, Sid sid, IoSession* io, ExecStats* stats);
+  /// Is the bit of `entry` set in its parent node of source `src` (and,
+  /// for a re-seeded entry, every bit on the chain above it)?
+  bool Test(size_t src, EntryRef entry) const;
 
   std::vector<Source> sources_;
-  std::set<std::pair<size_t, size_t>> loaded_;  ///< (source, partial) pairs
+  std::vector<size_t> loaded_base_;  ///< first slot of each source in loaded_
+  std::vector<bool> loaded_;         ///< one slot per (source, partial)
 };
 
 }  // namespace rankcube

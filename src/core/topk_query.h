@@ -24,7 +24,9 @@ struct ExecStats {
   uint64_t states_examined = 0;   ///< Ch5: joint states popped
   uint64_t peak_heap = 0;         ///< max candidate-heap entries
   uint64_t signature_pages = 0;   ///< signature/join-signature accesses
-  double signature_ms = 0.0;      ///< time spent loading signatures (Fig 7.12)
+  /// Time spent loading signature partials (Fig 7.12): only loads that
+  /// charge a page are timed, not the per-entry bit tests.
+  double signature_ms = 0.0;
 
   void MergeMax(uint64_t heap_size) {
     peak_heap = std::max(peak_heap, heap_size);

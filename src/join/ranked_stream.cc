@@ -15,51 +15,43 @@ CubeRankedStream::CubeRankedStream(const Table& table,
       io_(io),
       stats_(stats) {
   const RTree& rtree = cube_.rtree();
-  heap_.push({f_->LowerBound(rtree.node(rtree.root()).mbr), false,
-              rtree.root(), 0,
-              {}});
+  heap_.push({f_->LowerBound(rtree.node(rtree.root()).mbr), rtree.root(),
+              false, 0, 0});
 }
 
 bool CubeRankedStream::GetNext(Tid* tid, double* score) {
   const RTree& rtree = cube_.rtree();
+  const int M = rtree.max_entries();
   while (!heap_.empty()) {
-    Entry e = heap_.top();
+    const Entry e = heap_.top();
     heap_.pop();
     if (e.is_tuple) {
       if (pruner_ == nullptr ||
-          pruner_->Qualifies(e.tid, e.path, io_, stats_)) {
-        *tid = e.tid;
+          pruner_->Qualifies(e.id, {e.parent, e.pos}, io_, stats_)) {
+        *tid = e.id;
         *score = e.score;
         return true;
       }
       continue;
     }
     if (pruner_ != nullptr &&
-        !pruner_->MayContain(e.path, io_, stats_)) {
+        !pruner_->MayContain({e.parent, e.pos}, io_, stats_)) {
       continue;
     }
-    const RTreeNode& node = rtree.node(e.node_id);
-    rtree.ChargeNodeAccess(io_, e.node_id);
+    const Sid sid = e.pos == 0 ? 0 : ChildSid(e.parent, e.pos, M);
+    const RTreeNode& node = rtree.node(e.id);
+    rtree.ChargeNodeAccess(io_, e.id);
     if (node.is_leaf) {
       ScoreLeafEntries(eval_, node, &leaf_tids_, &leaf_scores_, stats_);
       for (size_t i = 0; i < node.entries.size(); ++i) {
-        Entry t;
-        t.score = leaf_scores_[i];
-        t.is_tuple = true;
-        t.tid = leaf_tids_[i];
-        t.path = e.path;
-        t.path.push_back(static_cast<int>(i) + 1);
-        heap_.push(std::move(t));
+        heap_.push({leaf_scores_[i], leaf_tids_[i], true,
+                    static_cast<uint32_t>(i + 1), sid});
       }
     } else {
       for (size_t i = 0; i < node.children.size(); ++i) {
-        Entry c;
-        c.score = f_->LowerBound(rtree.node(node.children[i]).mbr);
-        c.is_tuple = false;
-        c.node_id = node.children[i];
-        c.path = e.path;
-        c.path.push_back(static_cast<int>(i) + 1);
-        heap_.push(std::move(c));
+        heap_.push({f_->LowerBound(rtree.node(node.children[i]).mbr),
+                    node.children[i], false, static_cast<uint32_t>(i + 1),
+                    sid});
       }
     }
     stats_->MergeMax(heap_.size());

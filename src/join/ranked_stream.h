@@ -42,12 +42,13 @@ class CubeRankedStream : public RankedStream {
   double BestPossibleNext() const override;
 
  private:
+  /// Node or tuple, addressed by its parent's SID and its position there.
   struct Entry {
     double score;
+    uint32_t id;  ///< node id, or tid for tuple entries
     bool is_tuple;
-    uint32_t node_id;
-    Tid tid;
-    std::vector<int> path;
+    uint32_t pos;
+    Sid parent;
     bool operator>(const Entry& o) const { return score > o.score; }
   };
 

@@ -516,16 +516,14 @@ Result<PartitionedTopK> PartitionedDb::Query(const TopKQuery& query,
       const Part& part = *partitions_[plan.candidates[cursor + slot].index];
       results[slot] = part.db->Query(query, opts);
     };
-    if (end - cursor == 1) {
-      run_one(0);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(end - cursor);
-      for (size_t slot = 0; slot < end - cursor; ++slot) {
-        workers.emplace_back(run_one, slot);
-      }
-      for (auto& w : workers) w.join();
+    // Slot 0 runs on the calling thread; only the rest get a thread.
+    std::vector<std::thread> workers;
+    workers.reserve(end - cursor - 1);
+    for (size_t slot = 1; slot < end - cursor; ++slot) {
+      workers.emplace_back(run_one, slot);
     }
+    run_one(0);
+    for (auto& w : workers) w.join();
     for (size_t slot = 0; slot < end - cursor; ++slot) {
       const size_t part_index = plan.candidates[cursor + slot].index;
       const Part& part = *partitions_[part_index];

@@ -74,6 +74,7 @@ struct HeapEntry {
   double mindist;
   uint64_t seq;
   BBSJournal::Entry entry;
+  bool reseeded;  ///< came from `seed`, not from expanding its parent
   bool operator>(const HeapEntry& o) const {
     return mindist > o.mindist || (mindist == o.mindist && seq > o.seq);
   }
@@ -92,15 +93,16 @@ std::vector<Tid> BBSSkyline(const Table& table, const RTree& rtree,
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
   uint64_t seq = 0;
   if (seed != nullptr) {
-    for (const auto& e : *seed) heap.push({e.mindist, seq++, e});
+    for (const auto& e : *seed) heap.push({e.mindist, seq++, e, true});
   } else {
     BBSJournal::Entry root;
     root.mindist = transform.MinDist(rtree.node(rtree.root()).mbr);
     root.is_tuple = false;
     root.node_id = rtree.root();
-    heap.push({root.mindist, seq++, std::move(root)});
+    heap.push({root.mindist, seq++, root, false});
   }
 
+  const int M = rtree.max_entries();
   std::vector<Tid> skyline;
   std::vector<std::vector<double>> sky_points;  // transformed
   std::vector<double> probe;
@@ -113,24 +115,24 @@ std::vector<Tid> BBSSkyline(const Table& table, const RTree& rtree,
   };
 
   while (!heap.empty()) {
-    HeapEntry he = heap.top();
+    const HeapEntry he = heap.top();
     heap.pop();
-    BBSJournal::Entry& e = he.entry;
+    const BBSJournal::Entry& e = he.entry;
+    const EntryRef ref{e.parent, e.pos, he.reseeded};
 
     if (e.is_tuple) {
       transform.ApplyRow(table, e.tid, &probe);
       if (dominated(probe)) {
-        if (journal) journal->dominated.push_back(std::move(e));
+        if (journal) journal->dominated.push_back(e);
         continue;
       }
-      if (pruner != nullptr &&
-          !pruner->Qualifies(e.tid, e.path, io, stats)) {
-        if (journal) journal->boolean_pruned.push_back(std::move(e));
+      if (pruner != nullptr && !pruner->Qualifies(e.tid, ref, io, stats)) {
+        if (journal) journal->boolean_pruned.push_back(e);
         continue;
       }
       skyline.push_back(e.tid);
       sky_points.push_back(probe);
-      if (journal) journal->skyline.push_back(std::move(e));
+      if (journal) journal->skyline.push_back(e);
       continue;
     }
 
@@ -138,14 +140,15 @@ std::vector<Tid> BBSSkyline(const Table& table, const RTree& rtree,
     const RTreeNode& node = rtree.node(e.node_id);
     transform.LowerCorner(node.mbr, &probe);
     if (dominated(probe)) {
-      if (journal) journal->dominated.push_back(std::move(e));
+      if (journal) journal->dominated.push_back(e);
       continue;
     }
-    if (pruner != nullptr && !pruner->MayContain(e.path, io, stats)) {
-      if (journal) journal->boolean_pruned.push_back(std::move(e));
+    if (pruner != nullptr && !pruner->MayContain(ref, io, stats)) {
+      if (journal) journal->boolean_pruned.push_back(e);
       continue;
     }
     rtree.ChargeNodeAccess(io, e.node_id);
+    const Sid sid = e.pos == 0 ? 0 : ChildSid(e.parent, e.pos, M);
     if (node.is_leaf) {
       for (size_t i = 0; i < node.entries.size(); ++i) {
         BBSJournal::Entry c;
@@ -154,9 +157,9 @@ std::vector<Tid> BBSSkyline(const Table& table, const RTree& rtree,
         for (double v : probe) c.mindist += v;
         c.is_tuple = true;
         c.tid = node.entries[i].tid;
-        c.path = e.path;
-        c.path.push_back(static_cast<int>(i) + 1);
-        heap.push({c.mindist, seq++, std::move(c)});
+        c.parent = sid;
+        c.pos = static_cast<uint32_t>(i + 1);
+        heap.push({c.mindist, seq++, c, false});
       }
     } else {
       for (size_t i = 0; i < node.children.size(); ++i) {
@@ -164,9 +167,9 @@ std::vector<Tid> BBSSkyline(const Table& table, const RTree& rtree,
         c.mindist = transform.MinDist(rtree.node(node.children[i]).mbr);
         c.is_tuple = false;
         c.node_id = node.children[i];
-        c.path = e.path;
-        c.path.push_back(static_cast<int>(i) + 1);
-        heap.push({c.mindist, seq++, std::move(c)});
+        c.parent = sid;
+        c.pos = static_cast<uint32_t>(i + 1);
+        heap.push({c.mindist, seq++, c, false});
       }
     }
     stats->MergeMax(heap.size());

@@ -49,7 +49,8 @@ struct BBSJournal {
     bool is_tuple = false;
     uint32_t node_id = 0;  ///< nodes
     Tid tid = 0;           ///< tuples
-    std::vector<int> path;
+    Sid parent = 0;        ///< SID of the node holding the entry
+    uint32_t pos = 0;      ///< 1-based position there (0 = the root)
   };
   std::vector<Entry> skyline;         ///< result tuples (as heap entries)
   std::vector<Entry> dominated;       ///< discarded by dominance pruning
@@ -57,8 +58,10 @@ struct BBSJournal {
 };
 
 /// Runs BBS. `pruner` may be nullptr (no predicates). If `seed` is given
-/// the heap starts from those entries instead of the root (§7.2.4); if
-/// `journal` is given the discarded entries are recorded.
+/// the heap starts from those entries instead of the root (§7.2.4); the
+/// pruner never tested their ancestors, so they reach it flagged
+/// EntryRef::reseeded. If `journal` is given the discarded entries are
+/// recorded.
 std::vector<Tid> BBSSkyline(const Table& table, const RTree& rtree,
                             const SkylineTransform& transform,
                             BooleanPruner* pruner, IoSession* io,

@@ -14,11 +14,10 @@ class TableVerifyPruner : public BooleanPruner {
   TableVerifyPruner(const Table& table, const std::vector<Predicate>& preds)
       : table_(table), preds_(preds) {}
 
-  bool MayContain(const std::vector<int>&, IoSession*, ExecStats*) override {
+  bool MayContain(EntryRef, IoSession*, ExecStats*) override {
     return true;
   }
-  bool Qualifies(Tid tid, const std::vector<int>&, IoSession* io,
-                 ExecStats*) override {
+  bool Qualifies(Tid tid, EntryRef, IoSession* io, ExecStats*) override {
     table_.ChargeRowFetch(io, tid);
     for (const auto& p : preds_) {
       if (table_.sel(tid, p.dim) != p.value) return false;

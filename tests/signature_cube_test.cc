@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "baselines/baselines.h"
 #include "common/rng.h"
 #include "core/signature_cube.h"
 #include "gen/queries.h"
 #include "gen/synthetic.h"
+#include "join/ranked_stream.h"
 #include "reference.h"
+#include "skyline/olap_session.h"
 
 namespace rankcube {
 namespace {
@@ -235,6 +240,363 @@ TEST(SignatureCubeTest, SignaturePagesAreCounted) {
     ASSERT_TRUE(res.ok());
   }
   EXPECT_GT(stats.signature_pages, 0u);
+}
+
+// ------------------- SID-addressed pruning vs full-path oracle -----------
+
+/// Root-to-entry path (1-based positions) of a SID-addressed entry.
+std::vector<int> DecodePath(EntryRef e, int M) {
+  std::vector<int> path;
+  if (e.pos == 0) return path;  // the root
+  path.push_back(static_cast<int>(e.pos));
+  for (Sid x = e.parent; x != 0; x /= static_cast<Sid>(M + 1)) {
+    path.push_back(static_cast<int>(x % static_cast<Sid>(M + 1)));
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+/// The path-walking signature test, kept as the oracle: decode the entry's
+/// full path and, per source, charge the partial of every prefix and test
+/// every bit on it. It assumes nothing about which entries were tested
+/// before, so it ignores EntryRef::reseeded.
+class FullPathPruner : public BooleanPruner {
+ public:
+  explicit FullPathPruner(std::vector<SignaturePruner::Source> sources)
+      : sources_(std::move(sources)) {}
+
+  bool MayContain(EntryRef node, IoSession* io, ExecStats* stats) override {
+    return Check(node, io, stats);
+  }
+  bool Qualifies(Tid, EntryRef entry, IoSession* io,
+                 ExecStats* stats) override {
+    return Check(entry, io, stats);
+  }
+
+ private:
+  bool Check(EntryRef e, IoSession* io, ExecStats* stats) {
+    for (size_t s = 0; s < sources_.size(); ++s) {
+      const int M = sources_[s].sig->M();
+      const std::vector<int> path = DecodePath(e, M);
+      for (size_t l = 0; l <= path.size(); ++l) {
+        size_t partial = sources_[s].stored->PartialOf(SidOfPath(path, l, M));
+        if (partial != SIZE_MAX && loaded_.insert({s, partial}).second) {
+          io->Access(IoCategory::kSignature,
+                     (static_cast<uint64_t>(s) << 48) ^ partial);
+          ++stats->signature_pages;
+        }
+      }
+      if (!sources_[s].sig->TestPath(path)) return false;
+    }
+    return true;
+  }
+
+  std::vector<SignaturePruner::Source> sources_;
+  std::set<std::pair<size_t, size_t>> loaded_;
+};
+
+/// §4.5 oracle: the bloom test on the SID of the decoded full path, then
+/// table verification of candidate tuples.
+class FullPathBloomPruner : public BooleanPruner {
+ public:
+  FullPathBloomPruner(const Table& table, std::vector<Predicate> preds,
+                      std::vector<const BloomFilter*> blooms, int M)
+      : table_(table), preds_(std::move(preds)), blooms_(std::move(blooms)),
+        m_(M) {}
+
+  bool MayContain(EntryRef node, IoSession*, ExecStats*) override {
+    const std::vector<int> path = DecodePath(node, m_);
+    if (path.empty()) return true;
+    for (const auto* bloom : blooms_) {
+      if (!bloom->MayContain(SidOfPath(path, path.size(), m_))) return false;
+    }
+    return true;
+  }
+  bool Qualifies(Tid tid, EntryRef entry, IoSession* io,
+                 ExecStats* stats) override {
+    if (!MayContain(entry, io, stats)) return false;
+    table_.ChargeRowFetch(io, tid);
+    for (const auto& p : preds_) {
+      if (table_.sel(tid, p.dim) != p.value) return false;
+    }
+    return true;
+  }
+
+ private:
+  const Table& table_;
+  std::vector<Predicate> preds_;
+  std::vector<const BloomFilter*> blooms_;
+  int m_;
+};
+
+/// The atomic-cuboid cells MakePruner assembles for `preds` (§4.3.3);
+/// false when some predicate's cell is empty.
+bool AtomicCells(const SignatureCube& cube, const std::vector<Predicate>& preds,
+                 std::vector<SignaturePruner::Source>* sources,
+                 std::vector<const BloomFilter*>* blooms) {
+  for (const auto& p : preds) {
+    const SignatureCuboid* cuboid = nullptr;
+    for (const auto& c : cube.cuboids()) {
+      if (c.dims == std::vector<int>{p.dim}) cuboid = &c;
+    }
+    if (cuboid == nullptr) return false;
+    const CellKey key{{p.value}, 0};
+    auto it = cuboid->sigs.find(key);
+    if (it == cuboid->sigs.end()) return false;
+    sources->push_back({&it->second, &cuboid->stored.at(key)});
+    if (blooms != nullptr) blooms->push_back(&cuboid->blooms.at(key));
+  }
+  return true;
+}
+
+/// Small pages give a small fan-out (M = 12 at 2 ranking dims) and small
+/// partials, so trees are deep and cells span many partials; a 24-page
+/// buffer evicts, so the order of page accesses matters too.
+PageStore::Options SmallPages() {
+  PageStore::Options o;
+  o.page_size = 256;
+  o.cache_pages = 24;
+  o.cache_shards = 1;
+  return o;
+}
+
+/// Inserts that split nodes plus deletes of base and fresh rows.
+void Mutate(Table* t, uint64_t seed) {
+  Rng rng(seed);
+  const size_t base = t->num_rows();
+  std::vector<Tid> fresh;
+  for (int i = 0; i < 400; ++i) {
+    std::vector<int32_t> sel;
+    for (int d = 0; d < t->num_sel_dims(); ++d) {
+      const auto card = t->schema().sel_cardinality[d];
+      sel.push_back(static_cast<int32_t>(
+          rng.UniformInt(static_cast<uint64_t>(card))));
+    }
+    // Clustered in one corner so the same leaves keep splitting.
+    auto r = t->Insert(sel, {0.2 * rng.Uniform01(), 0.2 * rng.Uniform01()});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    fresh.push_back(r.value());
+  }
+  for (int i = 0; i < 300; ++i) {
+    Tid victim = static_cast<Tid>(rng.UniformInt(base));
+    if (t->is_live(victim)) {
+      ASSERT_TRUE(t->Delete(victim).ok());
+    }
+  }
+  for (size_t i = 0; i < fresh.size(); i += 7) {
+    ASSERT_TRUE(t->Delete(fresh[i]).ok());
+  }
+}
+
+struct Outcome {
+  std::vector<ScoredTuple> tuples;
+  uint64_t pages = 0;
+  uint64_t signature_pages = 0;
+};
+
+void ExpectSameOutcome(const Outcome& got, const Outcome& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.tuples, want.tuples) << what;
+  EXPECT_EQ(got.pages, want.pages) << what;
+  EXPECT_EQ(got.signature_pages, want.signature_pages) << what;
+}
+
+std::vector<TopKQuery> PredicateQueries(const Table& t) {
+  std::vector<TopKQuery> out;
+  for (int preds : {1, 2, 3}) {
+    QueryWorkloadSpec qspec;
+    qspec.num_queries = 12;
+    qspec.num_predicates = preds;
+    qspec.k = 15;
+    qspec.seed = 900 + preds;
+    for (auto& q : GenerateQueries(t, qspec)) out.push_back(std::move(q));
+  }
+  return out;
+}
+
+TEST(SidPruningInvarianceTest, TopKAndLossyMatchFullPathOracle) {
+  Table t = MakeData(6000, 3, 6, 2, 31);
+  PageStore store(SmallPages());
+  IoSession build{&store};
+  SignatureCubeOptions opt;
+  opt.lossy_bloom = true;
+  SignatureCube cube(t, build, opt);
+  Mutate(&t, 8);
+  ASSERT_TRUE(cube.ApplyDelta(t.delta(), &build).ok());
+  ASSERT_GE(cube.rtree().depth(), 4);
+
+  int compared = 0;
+  for (const TopKQuery& q : PredicateQueries(t)) {
+    std::vector<SignaturePruner::Source> sources;
+    std::vector<const BloomFilter*> blooms;
+    if (!AtomicCells(cube, q.predicates, &sources, &blooms)) continue;
+    ++compared;
+    const std::string what = q.ToString();
+    auto run = [&](auto&& exec) {
+      IoSession io{&store};
+      ExecStats stats;
+      Outcome r;
+      r.tuples = exec(&io, &stats);
+      r.pages = stats.pages_read;
+      r.signature_pages = stats.signature_pages;
+      return r;
+    };
+
+    Outcome got = run([&](IoSession* io, ExecStats* st) {
+      auto res = cube.TopK(q, io, st);
+      EXPECT_TRUE(res.ok());
+      return res.ok() ? res.value() : std::vector<ScoredTuple>{};
+    });
+    Outcome want = run([&](IoSession* io, ExecStats* st) {
+      FullPathPruner oracle(sources);
+      return RTreeBranchAndBoundTopK(t, cube.rtree(), q, &oracle, io, st);
+    });
+    ExpectSameOutcome(got, want, "TopK " + what);
+    EXPECT_EQ(ScoresOf(got.tuples), ScoresOf(BruteForceTopK(t, q))) << what;
+    EXPECT_GT(got.signature_pages, 0u) << what;
+
+    Outcome lossy = run([&](IoSession* io, ExecStats* st) {
+      auto res = cube.TopKLossy(q, io, st);
+      EXPECT_TRUE(res.ok());
+      return res.ok() ? res.value() : std::vector<ScoredTuple>{};
+    });
+    Outcome lossy_want = run([&](IoSession* io, ExecStats* st) {
+      FullPathBloomPruner oracle(t, q.predicates, blooms,
+                                 cube.rtree().max_entries());
+      return RTreeBranchAndBoundTopK(t, cube.rtree(), q, &oracle, io, st);
+    });
+    ExpectSameOutcome(lossy, lossy_want, "TopKLossy " + what);
+  }
+  EXPECT_GE(compared, 20);
+}
+
+TEST(SidPruningInvarianceTest, RankedStreamMatchesFullPathOracle) {
+  Table t = MakeData(6000, 3, 6, 2, 32);
+  PageStore store(SmallPages());
+  IoSession build{&store};
+  SignatureCube cube(t, build);
+  Mutate(&t, 9);
+  ASSERT_TRUE(cube.ApplyDelta(t.delta(), &build).ok());
+
+  int compared = 0;
+  for (const TopKQuery& q : PredicateQueries(t)) {
+    std::vector<SignaturePruner::Source> sources;
+    if (!AtomicCells(cube, q.predicates, &sources, nullptr)) continue;
+    ++compared;
+    auto drain = [&](std::unique_ptr<BooleanPruner> pruner) {
+      IoSession io{&store};
+      ExecStats stats;
+      CubeRankedStream stream(t, cube, q.function, std::move(pruner), &io,
+                              &stats);
+      Outcome r;
+      Tid tid;
+      double score;
+      // Far past k: the stream's whole pruned search, not just its head.
+      while (r.tuples.size() < 200 && stream.GetNext(&tid, &score)) {
+        r.tuples.push_back({tid, score});
+      }
+      r.pages = io.TotalPhysical();
+      r.signature_pages = stats.signature_pages;
+      return r;
+    };
+    auto pruner = cube.MakePruner(q.predicates);
+    ASSERT_TRUE(pruner.ok());
+    Outcome got = drain(std::move(pruner.value()));
+    Outcome want = drain(std::make_unique<FullPathPruner>(sources));
+    ExpectSameOutcome(got, want, "CubeRankedStream " + q.ToString());
+  }
+  EXPECT_GE(compared, 20);
+}
+
+// SkylineSession's drill-down and roll-up re-seed BBS from a journal: the
+// seeded entries' ancestors were never tested under the new pruner, so
+// they must be charged along their whole chain. The oracle session below
+// replays the same Query -> DrillDown -> RollUp with FullPathPruner.
+TEST(SidPruningInvarianceTest, SkylineSessionMatchesFullPathOracle) {
+  Table t = MakeData(6000, 3, 4, 2, 33);
+  PageStore store(SmallPages());
+  IoSession build{&store};
+  SkylineEngine engine(t, build);
+  Mutate(&t, 10);
+  // The engine exposes its cube read-only; a writer maintains it in place.
+  ASSERT_TRUE(const_cast<SignatureCube&>(engine.cube())
+                  .ApplyDelta(t.delta(), &build)
+                  .ok());
+  const SignatureCube& cube = engine.cube();
+  const SkylineTransform transform =
+      SkylineTransform::Dynamic({0.4, 0.6});
+
+  for (int32_t a = 0; a < 4; ++a) {
+    const std::vector<Predicate> first = {{0, a}};
+    const std::vector<Predicate> extra = {{2, (a + 1) % 4}};
+    SkylineSession session(&engine);
+    BBSJournal journal;  // the oracle session's state
+
+    auto oracle_run = [&](const std::vector<Predicate>& preds,
+                          const std::vector<BBSJournal::Entry>* seed) {
+      std::vector<SignaturePruner::Source> sources;
+      EXPECT_TRUE(AtomicCells(cube, preds, &sources, nullptr));
+      FullPathPruner oracle(sources);
+      IoSession io{&store};
+      ExecStats stats;
+      BBSJournal fresh;
+      Outcome r;
+      for (Tid tid : BBSSkyline(t, cube.rtree(), transform, &oracle, &io,
+                                &stats, &fresh, seed)) {
+        r.tuples.push_back({tid, 0.0});
+      }
+      r.pages = stats.pages_read;
+      r.signature_pages = stats.signature_pages;
+      std::vector<BBSJournal::Entry> carried = journal.boolean_pruned;
+      journal = std::move(fresh);
+      return std::make_pair(r, carried);
+    };
+    auto session_run = [&](auto&& step) {
+      IoSession io{&store};
+      ExecStats stats;
+      Result<std::vector<Tid>> res = step(&io, &stats);
+      EXPECT_TRUE(res.ok());
+      Outcome r;
+      if (res.ok()) {
+        for (Tid tid : res.value()) r.tuples.push_back({tid, 0.0});
+      }
+      r.pages = stats.pages_read;
+      r.signature_pages = stats.signature_pages;
+      return r;
+    };
+    const std::string what = "A0=" + std::to_string(a);
+
+    Outcome got = session_run([&](IoSession* io, ExecStats* st) {
+      return session.Query(first, transform, io, st);
+    });
+    Outcome want = oracle_run(first, nullptr).first;
+    ExpectSameOutcome(got, want, "Query " + what);
+
+    // Drill-down: seed = skyline + dominance-discarded (Fig 7.2); the old
+    // boolean-pruned entries are carried forward for a later roll-up.
+    std::vector<Predicate> drilled = first;
+    drilled.push_back(extra[0]);
+    got = session_run([&](IoSession* io, ExecStats* st) {
+      return session.DrillDown(extra, io, st);
+    });
+    std::vector<BBSJournal::Entry> seed = journal.skyline;
+    seed.insert(seed.end(), journal.dominated.begin(), journal.dominated.end());
+    auto [drill, carried] = oracle_run(drilled, &seed);
+    journal.boolean_pruned.insert(journal.boolean_pruned.end(),
+                                  carried.begin(), carried.end());
+    ExpectSameOutcome(got, drill, "DrillDown " + what);
+    EXPECT_GT(got.signature_pages, 0u) << what;
+
+    // Roll-up: drop dim 0; boolean-pruned entries are re-admitted.
+    got = session_run([&](IoSession* io, ExecStats* st) {
+      return session.RollUp({0}, io, st);
+    });
+    seed = journal.skyline;
+    seed.insert(seed.end(), journal.dominated.begin(), journal.dominated.end());
+    seed.insert(seed.end(), journal.boolean_pruned.begin(),
+                journal.boolean_pruned.end());
+    ExpectSameOutcome(got, oracle_run(extra, &seed).first, "RollUp " + what);
+  }
 }
 
 // -------------------------- baselines vs oracle --------------------------
